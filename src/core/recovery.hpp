@@ -16,7 +16,7 @@
 ///   2. re-synthesis, bounded retries → exponential backoff between attempts
 ///   3. hazard quarantine             → persistently misbehaving cells are
 ///                                      clamped dead in the health view and
-///                                      routed around (routability-gated)
+///                                      routed around
 ///   4. replica failover              → on N-modular-redundant MOs a replica
 ///                                      that runs out of retries is abandoned
 ///                                      while its siblings keep racing
@@ -75,56 +75,33 @@ struct RecoveryConfig {
   /// Watchdog firings on the same routing job before its blocked frontier
   /// is quarantined.
   int quarantine_after_watchdogs = 2;
-  /// Also quarantine cells the health filter flags as suspect.
-  bool quarantine_suspects = true;
-  /// Ceiling on the quarantine set as a fraction of the chip area.
+  /// Ceiling on the quarantine set as a fraction of the chip area (cells
+  /// the health filter flags as suspect are quarantined too, within it).
   /// Quarantine targets a few persistently misbehaving cells; when the
   /// filter floods the scheduler with suspects (a failing *sensing
   /// channel*, not a failing substrate), quarantining them all would blind
   /// the router to most of a still-routable chip. Past the budget the
   /// ladder stops quarantining and trusts the filtered estimate instead.
   double max_quarantine_fraction = 0.15;
-  /// Droplet-aware stall classification: when the watchdog fires, decide
-  /// whether the droplet is blocked by another droplet (contention) or by
-  /// dead/unresponsive cells. Contention stalls re-route around the
-  /// blocker's footprint instead of quarantining healthy cells.
-  bool classify_stalls = true;
-  /// Contention detours on the same stuck task (without progress) before
-  /// falling back to the quarantine escalation (livelock safety valve).
-  int max_contention_detours = 3;
-  /// When > 0: after each quarantine, probe chip-wide routability with this
-  /// many sampled jobs; abort the job early if the feasible fraction falls
-  /// below min_routable_fraction (the chip is effectively unroutable).
-  int routability_probe_jobs = 0;
-  double min_routable_fraction = 0.25;
   /// Progress-rate watchdog (the default): instead of "exactly stuck_cycles
-  /// commanded cycles at the same position", track an EWMA of Manhattan
-  /// progress toward the goal frontier per commanded cycle and fire when it
-  /// decays below min_progress_rate. End-of-life chips where pulls land
-  /// every few cycles keep a healthy rate and are left to crawl; true
-  /// stalls decay to zero and still fire. `false` restores the fixed
-  /// stuck_cycles counter (the equivalence-test behavior).
+  /// commanded cycles at the same position", track an EWMA (α = 0.10) of
+  /// Manhattan progress toward the goal frontier per commanded cycle and
+  /// fire when it decays below 0.005 cells/cycle. End-of-life chips where
+  /// pulls land every few cycles keep a healthy rate and are left to crawl;
+  /// true stalls decay to zero and still fire. `false` restores the fixed
+  /// stuck_cycles counter (the equivalence-test behavior). Either way a
+  /// firing is classified: a stall blocked by another droplet re-routes
+  /// around it (at most 3 detours without progress) instead of
+  /// quarantining healthy cells.
   bool progress_watchdog = true;
-  /// EWMA smoothing factor α for the progress rate (weight of the newest
-  /// cycle's progress). With the defaults a pure stall entered from a full
-  /// rate fires in ~50 cycles and from an end-of-life crawl (~0.3
-  /// cells/cycle) in ~39 — deliberately more patient than the legacy
-  /// stuck_cycles=12, because a premature firing escalates toward
-  /// quarantining cells that were merely slow.
-  double progress_alpha = 0.10;
-  /// Watchdog threshold on the smoothed progress rate (cells/cycle).
-  double min_progress_rate = 0.005;
   /// Deadline-expired synthesis degrades to the bounded fallback router
-  /// instead of the infeasible-synthesis retry ladder.
+  /// (20000 expansions) instead of the infeasible-synthesis retry ladder.
   bool fallback_on_deadline = true;
-  /// Expansion budget handed to the fallback router.
-  int fallback_max_expansions = 20000;
   /// While a fallback route is active, full re-synthesis is retried only
   /// after an exponential backoff on health changes: attempt i waits
-  /// fallback_backoff_base_cycles << (i-1) cycles (capped below) after the
-  /// deadline expiry before the next full attempt.
+  /// fallback_backoff_base_cycles << (i-1) cycles (capped at 256) after
+  /// the deadline expiry before the next full attempt.
   int fallback_backoff_base_cycles = 16;
-  int fallback_backoff_max_cycles = 256;
 };
 
 /// Aggregated ladder counters for one execution.

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "core/fallback_router.hpp"
-#include "core/routability.hpp"
-#include "core/synthesis_backend.hpp"
 #include "model/outcomes.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
@@ -181,6 +179,25 @@ enum class StallKind : unsigned char {
   kUnknown,     ///< cells read healthy and no droplet nearby (lying cells)
 };
 
+// Fixed recovery-ladder tuning (docs/robustness.md).
+/// Contention detours on one stuck task, without progress, before the
+/// watchdog escalates to quarantine instead (livelock safety valve).
+constexpr int kMaxContentionDetours = 3;
+/// EWMA smoothing factor of the progress-rate watchdog (weight of the
+/// newest cycle's progress). A pure stall entered from a full rate fires in
+/// ~50 cycles and from an end-of-life crawl (~0.3 cells/cycle) in ~39 —
+/// deliberately more patient than a fixed stuck_cycles = 12, because a
+/// premature firing escalates toward quarantining cells that were merely
+/// slow.
+constexpr double kProgressAlpha = 0.10;
+/// Progress-rate watchdog threshold (cells/cycle).
+constexpr double kMinProgressRate = 0.005;
+/// Expansion budget of the bounded fallback router.
+constexpr int kFallbackMaxExpansions = 20000;
+/// Ceiling of the exponential backoff before a fallback route's full
+/// re-synthesis retry (cycles).
+constexpr int kFallbackBackoffMaxCycles = 256;
+
 const char* stall_name(StallKind kind) {
   switch (kind) {
     case StallKind::kContention: return "blocked-by-droplet";
@@ -212,6 +229,43 @@ struct MoRun {
   /// chip cycle, drawn from by every replica's solve (never N× the budget).
   std::uint64_t replica_deadline_cycle = ~std::uint64_t{0};
   util::Deadline replica_deadline;
+};
+
+/// How a library miss is solved.
+enum class Solver : unsigned char {
+  kWarm,        ///< resynthesize over the view, reusing the task's retained
+                ///< solver state (the adaptive router)
+  kCold,        ///< synthesize over the view (detours, reactive re-routes)
+  kFullHealth,  ///< the baseline: full-health force, no view
+};
+
+/// One strategy acquisition: what to retrieve or solve, and what the
+/// installed strategy is keyed on.
+struct StrategyRequest {
+  RoutingJob rj;          ///< the task's job re-anchored at the droplet
+  std::uint64_t key = 0;  ///< library key digest (salted per class)
+  DigestClass cls = DigestClass::kPlain;
+  Solver solver = Solver::kWarm;
+  const IntMatrix* view = nullptr;  ///< health view of kWarm/kCold solves
+  std::uint64_t digest = 0;  ///< re-synthesis trigger installed with it
+  bool replica_mask = false;  ///< view carries a replica corridor mask
+  /// Reactive retrial re-route of the baseline router: an expired solve
+  /// goes down the retry ladder (not to the fallback router), and the
+  /// strategy is installed at once, outside the latency model.
+  bool reactive = false;
+};
+
+/// What one acquisition produced.
+enum class Acquired : unsigned char {
+  kLibraryHit,       ///< served from the strategy library
+  kSolved,           ///< synthesized (and stored)
+  kDeadlineExpired,  ///< the solve blew its budget; nothing stored
+  kInfeasible,       ///< no strategy reaches the goal (hit or solve)
+};
+
+struct Acquisition {
+  Acquired outcome = Acquired::kInfeasible;
+  SynthesisResult result;
 };
 
 /// Per-execution driver implementing Algorithm 3 plus the recovery ladder.
@@ -509,7 +563,7 @@ class Runner {
   /// quarantined cell to health 0 in the current view.
   void apply_quarantine() {
     if (!config_.recovery.enabled) return;
-    if (config_.recovery.quarantine_suspects && config_.filter.enabled &&
+    if (config_.filter.enabled &&
         filter_.suspect_count() > quarantined_suspects_seen_) {
       // Budgeted: a suspect *flood* means the sensing channel is failing,
       // not the substrate — quarantining it all would blind the router to a
@@ -571,7 +625,6 @@ class Runner {
     event(RecoveryAction::kQuarantine, run.mo->id,
           std::to_string(added) + " cell(s) blocking " + pos.to_string());
     clamp_quarantined();
-    routability_gate(run);
   }
 
   /// The cells a stuck task is trying (and failing) to enter: the commanded
@@ -654,23 +707,6 @@ class Runner {
     return masked;
   }
 
-  /// After a quarantine, optionally probes chip-wide routability; a chip
-  /// that can no longer route most jobs is not worth burning cycles on.
-  void routability_gate(MoRun& run) {
-    if (config_.recovery.routability_probe_jobs <= 0) return;
-    RoutabilityConfig probe;
-    probe.jobs = config_.recovery.routability_probe_jobs;
-    probe.synthesis = config_.synthesis;
-    // Deterministic probe seed tied to the execution point.
-    Rng rng(0x90BAB17Eull ^ (chip_.cycle() * 0x9E3779B97F4A7C15ull));
-    const RoutabilityReport report =
-        assess_routability(health_, chip_.health_bits(), probe, rng);
-    if (report.feasible_fraction < config_.recovery.min_routable_fraction) {
-      abort_job(run, "chip unroutable after quarantine (feasible fraction " +
-                         std::to_string(report.feasible_fraction) + ")");
-    }
-  }
-
   /// Gracefully aborts one MO: its droplets are scheduled for discard at the
   /// end of the cycle and its dependents cascade-abort on activation.
   void abort_job(MoRun& run, const std::string& reason) {
@@ -709,8 +745,8 @@ class Runner {
   /// bounded fallback router and back off full re-synthesis exponentially:
   /// strike i waits fallback_backoff_base_cycles << (i-1) cycles (capped)
   /// before the next health change may retry the real thing.
-  void on_synthesis_deadline(MoRun& run, RouteTask& task, const RoutingJob& rj,
-                             std::uint64_t digest, const IntMatrix* masked) {
+  void on_synthesis_deadline(MoRun& run, RouteTask& task,
+                             const StrategyRequest& req) {
     ++stats_.recovery.synthesis_deadlines;
     ++task.deadline_strikes;
     event(RecoveryAction::kSynthesisDeadline, task.rj.mo,
@@ -725,56 +761,26 @@ class Runner {
       return;
     }
     const int base = std::max(1, config_.recovery.fallback_backoff_base_cycles);
-    const int cap = std::max(base, config_.recovery.fallback_backoff_max_cycles);
+    const int cap = std::max(base, kFallbackBackoffMaxCycles);
     const int shift = std::min(task.deadline_strikes - 1, 16);
     const int wait = std::min(base << shift, cap);
     task.fallback_retry_at = chip_.cycle() + static_cast<std::uint64_t>(wait);
-    install_fallback(run, task, rj, digest, masked);
-  }
-
-  /// Ladder stage: the external synthesis backend refused the solve (shed
-  /// under admission control or a spent tenant budget). Same degradation as
-  /// a deadline-expired local synthesis — bounded fallback route now, full
-  /// synthesis retried after exponential backoff — but counted separately:
-  /// a shed says the *service* was saturated, not that this solve was
-  /// expensive.
-  void on_synthesis_shed(MoRun& run, RouteTask& task, const RoutingJob& rj,
-                         std::uint64_t digest, const IntMatrix* masked,
-                         const char* reason) {
-    ++stats_.service_sheds;
-    ++task.deadline_strikes;
-    MEDA_OBS_COUNT("sched.service_shed", 1);
-    obs_event("recovery", "service-shed", task.rj.mo,
-              std::string("synthesis service shed this solve (") + reason +
-                  "), degrading to fallback");
-    if (!config_.recovery.enabled) {
-      fail("synthesis service shed MO " + std::to_string(task.rj.mo) + " (" +
-           std::string(reason) + ") with recovery disabled");
-      return;
-    }
-    if (!config_.recovery.fallback_on_deadline) {
-      on_synthesis_failure(run, task);
-      return;
-    }
-    const int base = std::max(1, config_.recovery.fallback_backoff_base_cycles);
-    const int cap = std::max(base, config_.recovery.fallback_backoff_max_cycles);
-    const int shift = std::min(task.deadline_strikes - 1, 16);
-    const int wait = std::min(base << shift, cap);
-    task.fallback_retry_at = chip_.cycle() + static_cast<std::uint64_t>(wait);
-    install_fallback(run, task, rj, digest, masked);
+    install_fallback(run, task, req);
   }
 
   /// Computes and installs a bounded fallback route over the current health
-  /// view (droplet-masked when a contention detour requested it). An
-  /// infeasible fallback falls through to the retry/abort ladder.
-  void install_fallback(MoRun& run, RouteTask& task, const RoutingJob& rj,
-                        std::uint64_t digest, const IntMatrix* masked) {
+  /// view (droplet-masked when a contention detour requested it; never
+  /// corridor-masked). An infeasible fallback falls through to the
+  /// retry/abort ladder.
+  void install_fallback(MoRun& run, RouteTask& task,
+                        const StrategyRequest& req) {
     FallbackConfig fallback_config;
     fallback_config.rules = config_.synthesis.rules;
-    fallback_config.max_expansions = config_.recovery.fallback_max_expansions;
-    const IntMatrix& view = masked != nullptr ? *masked : health_;
+    fallback_config.max_expansions = kFallbackMaxExpansions;
+    const IntMatrix& view =
+        req.cls == DigestClass::kDetour ? *req.view : health_;
     FallbackResult fallback =
-        fallback_route(rj, view, chip_bounds_, fallback_config);
+        fallback_route(req.rj, view, chip_bounds_, fallback_config);
     if (!fallback.feasible) {
       on_synthesis_failure(run, task);
       return;
@@ -784,7 +790,7 @@ class Runner {
               "fallback route of " + std::to_string(fallback.path_length) +
                   " action(s) installed");
     task.strategy = std::move(fallback.strategy);
-    task.digest = digest;
+    task.digest = req.digest;
     task.has_strategy = true;
     task.pending = false;
     task.fallback_active = true;
@@ -959,7 +965,7 @@ class Runner {
     //
     // Two stall detectors share the escalation: the progress-rate watchdog
     // (the default) fires when an EWMA of Manhattan progress toward the
-    // goal frontier decays below min_progress_rate — an end-of-life chip
+    // goal frontier decays below kMinProgressRate — an end-of-life chip
     // where pulls still land every few cycles keeps a healthy rate and is
     // left to crawl, while a true stall decays to zero; the fixed
     // stuck_cycles counter (progress_watchdog = false) fires after exactly
@@ -979,10 +985,9 @@ class Runner {
                 std::max(0.0, static_cast<double>(task.last_goal_gap - gap));
             if (pos != task.watch_pos)
               observed = std::max(observed, kMovementCredit);
-            const double alpha = config_.recovery.progress_alpha;
-            task.progress_rate =
-                (1.0 - alpha) * task.progress_rate + alpha * observed;
-            if (task.progress_rate < config_.recovery.min_progress_rate) {
+            task.progress_rate = (1.0 - kProgressAlpha) * task.progress_rate +
+                                 kProgressAlpha * observed;
+            if (task.progress_rate < kMinProgressRate) {
               watchdog_fired = true;
               task.progress_rate = 1.0;  // fresh grace period after firing
               task.last_goal_gap = -1;
@@ -1017,17 +1022,12 @@ class Runner {
         event(RecoveryAction::kWatchdogResense, task.rj.mo,
               "droplet stuck at " + pos.to_string());
         refresh_health(/*forced=*/true);
-        const StallKind kind = config_.recovery.classify_stalls
-                                   ? classify_stall(task, pos)
-                                   : StallKind::kUnknown;
-        if (config_.recovery.classify_stalls) {
-          obs_event("stall", stall_name(kind), task.rj.mo,
-                    "stuck at " + pos.to_string());
-          record_stall_metric(kind);
-        }
+        const StallKind kind = classify_stall(task, pos);
+        obs_event("stall", stall_name(kind), task.rj.mo,
+                  "stuck at " + pos.to_string());
+        record_stall_metric(kind);
         if (kind == StallKind::kContention &&
-            task.contention_detours <
-                config_.recovery.max_contention_detours) {
+            task.contention_detours < kMaxContentionDetours) {
           ++task.contention_detours;
           ++stats_.recovery.contention_detours;
           task.watchdog_count = 0;  // contention must not reach quarantine
@@ -1038,7 +1038,6 @@ class Runner {
                    config_.recovery.quarantine_after_watchdogs) {
           task.watchdog_count = 0;
           quarantine_attempt_frontier(run, task, pos);
-          if (run.state != MoRun::State::kActive) return false;
         }
         task.has_strategy = false;
         task.pending = false;
@@ -1101,48 +1100,30 @@ class Runner {
     return false;
   }
 
-  /// One-shot reactive re-route from the sensed health matrix (used by the
+  /// A droplet can end up just outside its original zone (strategy swaps
+  /// and sampled outcomes both move it between syntheses); widen the
+  /// search bound so the re-anchored synthesis stays well-formed.
+  static void cover_position(RouteTask& task, const Rect& pos) {
+    if (!task.rj.hazard.contains(pos))
+      task.rj.hazard = task.rj.hazard.union_with(pos);
+  }
+
+  /// One-shot reactive re-route from the sensed health matrix (the
   /// retrial-recovery comparison mode; bypasses the adaptive digest logic).
   void recover_strategy(MoRun& run, RouteTask& task, const Rect& pos) {
     ++stats_.resyntheses;
-    if (!task.rj.hazard.contains(pos))
-      task.rj.hazard = task.rj.hazard.union_with(pos);
-    RoutingJob rj = task.rj;
-    rj.start = pos;
-    const std::uint64_t digest = health_digest(health_, task.rj.hazard);
-    SynthesisResult result;
-    const SynthesisResult* cached =
-        config_.use_library ? library_.lookup(rj, digest) : nullptr;
-    if (cached != nullptr) {
-      ++stats_.library_hits;
-      result = *cached;
-    } else {
-      ++stats_.synthesis_calls;
-      result = synthesizer_.synthesize(rj, health_, chip_.health_bits());
-      stats_.synthesis_seconds += result.total_seconds;
-      if (config_.use_library && !result.deadline_expired)
-        library_.store(rj, digest, result);
-    }
-    if (result.deadline_expired) {
-      ++stats_.recovery.synthesis_deadlines;
-      event(RecoveryAction::kSynthesisDeadline, task.rj.mo,
-            "synthesis deadline expired during reactive recovery");
-    }
-    if (!result.feasible) {
-      if (config_.recovery.enabled) {
-        on_synthesis_failure(run, task);
-      } else {
-        fail("reactive recovery found no feasible strategy for MO " +
-             std::to_string(task.rj.mo));
-      }
-      return;
-    }
-    task.retries = 0;
-    task.strategy = std::move(result.strategy);
-    // Store the baseline digest so ensure_strategy keeps the recovered
-    // strategy until the droplet gets stuck again.
-    task.digest = 0;
-    task.has_strategy = true;
+    cover_position(task, pos);
+    StrategyRequest req;
+    req.rj = task.rj;
+    req.rj.start = pos;
+    req.key = health_digest(health_, task.rj.hazard);
+    req.solver = Solver::kCold;
+    req.view = &health_;
+    // digest 0 is the baseline's constant trigger: ensure_strategy keeps
+    // the recovered strategy until the droplet gets stuck again.
+    req.digest = 0;
+    req.reactive = true;
+    settle(run, task, pos, req, acquire(run, task, req));
   }
 
   /// Retrieves / synthesizes / re-synthesizes the task's strategy
@@ -1160,11 +1141,7 @@ class Runner {
       }
     }
 
-    // A droplet can end up just outside its original zone (strategy swaps
-    // and sampled outcomes both move it between syntheses); widen the
-    // search bound so the re-anchored synthesis stays well-formed.
-    if (!task.rj.hazard.contains(pos))
-      task.rj.hazard = task.rj.hazard.union_with(pos);
+    cover_position(task, pos);
 
     // Replica-masked synthesis view: sibling corridor bands clamped dead
     // (outside the shared funnels) make the replica routes pairwise
@@ -1184,12 +1161,16 @@ class Runner {
 
     if (task.has_strategy) ++stats_.resyntheses;
 
-    RoutingJob rj = task.rj;
-    rj.start = pos;  // re-anchor at the droplet's current location
+    StrategyRequest req;
+    req.rj = task.rj;
+    req.rj.start = pos;  // re-anchor at the droplet's current location
+    req.key = digest;
+    req.digest = digest;
+    req.cls = replica_mask ? DigestClass::kReplica : DigestClass::kPlain;
+    req.solver = config_.adaptive ? Solver::kWarm : Solver::kFullHealth;
+    req.view = replica_mask ? &replica_health : &health_;
+    req.replica_mask = replica_mask;
 
-    SynthesisResult result;
-    const bool avoid_droplets = task.avoid_droplets_once && !health_.empty();
-    task.avoid_droplets_once = false;  // one-shot, success or not
     // Contention detours synthesize against the droplet-masked health view.
     // They are cached under a position-keyed digest: hashing the *masked*
     // view folds the avoid-rectangles (the other droplets' inflated
@@ -1199,12 +1180,15 @@ class Runner {
     // kDetourDigestSalt separates the two key families when the matrices
     // coincide (see core/library.hpp). For replicas the droplet mask is
     // applied on top of the corridor mask.
+    const bool avoid_droplets = task.avoid_droplets_once && !health_.empty();
+    task.avoid_droplets_once = false;  // one-shot, success or not
     IntMatrix masked_health;
-    std::uint64_t lookup_digest = digest;
     if (avoid_droplets) {
-      masked_health = droplet_masked_health(
-          task, pos, replica_mask ? replica_health : health_);
-      lookup_digest = detour_digest(masked_health, task.rj.hazard);
+      masked_health = droplet_masked_health(task, pos, *req.view);
+      req.key = detour_digest(masked_health, task.rj.hazard);
+      req.cls = DigestClass::kDetour;
+      req.solver = Solver::kCold;
+      req.view = &masked_health;
     }
 
     // While a fallback route is active, full re-synthesis is under backoff:
@@ -1212,126 +1196,137 @@ class Runner {
     // router; the first change after the window retries the real synthesis.
     if (task.fallback_active && config_.recovery.enabled &&
         chip_.cycle() < task.fallback_retry_at) {
-      install_fallback(run, task, rj, digest,
-                       avoid_droplets ? &masked_health : nullptr);
+      install_fallback(run, task, req);
       return;
     }
     if (task.fallback_active)
       obs_event("recovery", "deadline-retry", task.rj.mo,
                 "backoff elapsed: retrying full synthesis");
 
-    const DigestClass digest_class = avoid_droplets ? DigestClass::kDetour
-                                     : replica_mask ? DigestClass::kReplica
-                                                    : DigestClass::kPlain;
+    settle(run, task, pos, req, acquire(run, task, req));
+  }
+
+  /// The one strategy-acquisition step: retrieve the strategy from the
+  /// library, or solve it and store it.
+  Acquisition acquire(MoRun& run, RouteTask& task,
+                      const StrategyRequest& req) {
+    const bool detour = req.cls == DigestClass::kDetour;
+    Acquisition acq;
+    SynthesisResult& result = acq.result;
     const SynthesisResult* cached =
-        config_.use_library ? library_.lookup(rj, lookup_digest, digest_class)
+        config_.use_library ? library_.lookup(req.rj, req.key, req.cls)
                             : nullptr;
     if (cached != nullptr) {
       ++stats_.library_hits;
-      if (avoid_droplets) MEDA_OBS_COUNT("sched.detour_library_hits", 1);
+      if (detour) MEDA_OBS_COUNT("sched.detour_library_hits", 1);
       result = *cached;
-    } else if (config_.backend != nullptr && config_.adaptive &&
-               task.replica < 0) {
-      // Submit-or-fallback: route the solve through the external provider.
-      // The service runs its own library probe, journaling, and tenant
-      // budget accounting, so the local store below is skipped for it.
-      ++stats_.synthesis_calls;
-      BackendOutcome outcome = config_.backend->synthesize(
-          rj, avoid_droplets ? masked_health : health_, chip_.health_bits(),
-          lookup_digest, digest_class);
-      if (outcome.shed) {
-        on_synthesis_shed(run, task, rj, digest,
-                          avoid_droplets ? &masked_health : nullptr,
-                          outcome.shed_reason);
-        return;
-      }
-      result = std::move(outcome.result);
-      stats_.synthesis_seconds += result.total_seconds;
-      if (avoid_droplets) MEDA_OBS_COUNT("sched.detour_library_misses", 1);
     } else {
       ++stats_.synthesis_calls;
+      if (detour) MEDA_OBS_COUNT("sched.detour_library_misses", 1);
       // All of one MO's replicas draw from a single per-cycle Deadline
       // token (inactive for non-replicas — per-call arming applies).
       const util::Deadline deadline = replica_deadline(run, task);
-      if (avoid_droplets) {
-        MEDA_OBS_COUNT("sched.detour_library_misses", 1);
-        result = synthesizer_.synthesize(rj, masked_health,
-                                         chip_.health_bits(), deadline);
-      } else if (config_.adaptive) {
-        // The hot re-synthesis path: reuse the task's retained solver state
-        // so a small health delta patches + warm-solves instead of
-        // rebuilding the MDP from scratch. Replicas solve over their
-        // corridor-masked view.
-        result = synthesizer_.resynthesize(
-            rj, replica_mask ? replica_health : health_, chip_.health_bits(),
-            task.resynth, deadline);
-        if (result.warm) ++stats_.resyntheses_warm;
-      } else {
-        result = synthesizer_.synthesize_with_force(
-            rj,
-            full_health_force(chip_bounds_.width(), chip_bounds_.height()));
+      switch (req.solver) {
+        case Solver::kWarm:
+          // The hot re-synthesis path: reuse the task's retained solver
+          // state so a small health delta patches + warm-solves instead of
+          // rebuilding the MDP from scratch.
+          result = synthesizer_.resynthesize(req.rj, *req.view,
+                                             chip_.health_bits(),
+                                             task.resynth, deadline);
+          if (result.warm) ++stats_.resyntheses_warm;
+          break;
+        case Solver::kCold:
+          result = synthesizer_.synthesize(req.rj, *req.view,
+                                           chip_.health_bits(), deadline);
+          break;
+        case Solver::kFullHealth:
+          result = synthesizer_.synthesize_with_force(
+              req.rj,
+              full_health_force(chip_bounds_.width(), chip_bounds_.height()));
+          break;
       }
       stats_.synthesis_seconds += result.total_seconds;
       // Deadline-expired results carry no strategy and describe a solver
       // budget, not the health state — caching them would poison the key.
       if (config_.use_library && !result.deadline_expired)
-        library_.store(rj, lookup_digest, result, digest_class);
+        library_.store(req.rj, req.key, result, req.cls);
     }
+    if (result.deadline_expired)
+      acq.outcome = Acquired::kDeadlineExpired;
+    else if (!result.feasible)
+      acq.outcome = Acquired::kInfeasible;
+    else
+      acq.outcome =
+          cached != nullptr ? Acquired::kLibraryHit : Acquired::kSolved;
+    return acq;
+  }
 
-    if (result.deadline_expired) {
-      on_synthesis_deadline(run, task, rj, digest,
-                            avoid_droplets ? &masked_health : nullptr);
-      return;
-    }
-
-    if (!result.feasible) {
-      if (replica_mask) {
-        // The corridor mask itself made the job infeasible (the band may
-        // have degraded underneath the droplet): degrade this replica to
-        // best-effort disjointness — recorded as such — and retry the
-        // synthesis unmasked right away instead of burning the ladder.
-        task.mask_degraded = true;
-        ++stats_.replica.best_effort_masks;
-        obs_event("replica", "mask-degraded", task.rj.mo,
-                  "corridor mask infeasible for replica " +
-                      std::to_string(task.replica) +
-                      "; best-effort disjointness from here");
-        task.resynth.valid = false;  // the retained model reflects the mask
-        task.has_strategy = false;
-        ensure_strategy(run, task, pos);
+  /// Maps an acquisition outcome onto the ladder: install the strategy, or
+  /// escalate the expired / infeasible solve.
+  void settle(MoRun& run, RouteTask& task, const Rect& pos,
+              const StrategyRequest& req, Acquisition acq) {
+    switch (acq.outcome) {
+      case Acquired::kDeadlineExpired:
+        if (!req.reactive) {
+          on_synthesis_deadline(run, task, req);
+          return;
+        }
+        ++stats_.recovery.synthesis_deadlines;
+        event(RecoveryAction::kSynthesisDeadline, task.rj.mo,
+              "synthesis deadline expired during reactive recovery");
+        [[fallthrough]];  // an expired solve is infeasible too
+      case Acquired::kInfeasible:
+        if (req.replica_mask) {
+          // The corridor mask itself made the job infeasible (the band may
+          // have degraded underneath the droplet): degrade this replica to
+          // best-effort disjointness — recorded as such — and retry the
+          // synthesis unmasked right away instead of burning the ladder.
+          task.mask_degraded = true;
+          ++stats_.replica.best_effort_masks;
+          obs_event("replica", "mask-degraded", task.rj.mo,
+                    "corridor mask infeasible for replica " +
+                        std::to_string(task.replica) +
+                        "; best-effort disjointness from here");
+          task.resynth.valid = false;  // the retained model reflects the mask
+          task.has_strategy = false;
+          ensure_strategy(run, task, pos);
+        } else if (config_.recovery.enabled) {
+          on_synthesis_failure(run, task);
+        } else if (task.replica >= 0) {
+          abandon_replica(run, task);
+        } else {
+          fail((req.reactive ? "reactive recovery found no feasible strategy"
+                             : "no feasible routing strategy") +
+               std::string(" for MO ") + std::to_string(task.rj.mo));
+        }
         return;
-      }
-      if (config_.recovery.enabled) {
-        on_synthesis_failure(run, task);
-      } else if (task.replica >= 0) {
-        abandon_replica(run, task);
-      } else {
-        fail("no feasible routing strategy for MO " +
-             std::to_string(task.rj.mo));
-      }
-      return;
+      case Acquired::kLibraryHit:
+      case Acquired::kSolved:
+        break;
     }
     task.retries = 0;
-    if (task.fallback_active) {
-      task.fallback_active = false;
-      task.deadline_strikes = 0;
-      obs_event("recovery", "fallback-retired", task.rj.mo,
-                "full synthesis recovered; fallback route retired");
+    if (!req.reactive) {
+      if (task.fallback_active) {
+        task.fallback_active = false;
+        task.deadline_strikes = 0;
+        obs_event("recovery", "fallback-retired", task.rj.mo,
+                  "full synthesis recovered; fallback route retired");
+      }
+      if (task.first_expected_cycles < 0.0 &&
+          std::isfinite(acq.result.expected_cycles))
+        task.first_expected_cycles = acq.result.expected_cycles;
+      if (config_.synthesis_latency_cycles > 0) {
+        task.pending = true;
+        task.pending_countdown = config_.synthesis_latency_cycles;
+        task.pending_strategy = std::move(acq.result.strategy);
+        task.pending_digest = req.digest;
+        return;
+      }
     }
-    if (task.first_expected_cycles < 0.0 &&
-        std::isfinite(result.expected_cycles))
-      task.first_expected_cycles = result.expected_cycles;
-
-    if (config_.synthesis_latency_cycles > 0) {
-      task.pending = true;
-      task.pending_countdown = config_.synthesis_latency_cycles;
-      task.pending_strategy = std::move(result.strategy);
-      task.pending_digest = digest;
-    } else {
-      task.strategy = std::move(result.strategy);
-      task.digest = digest;
-      task.has_strategy = true;
-    }
+    task.strategy = std::move(acq.result.strategy);
+    task.digest = req.digest;
+    task.has_strategy = true;
   }
 
   /// The redundancy degree of one MO: the per-MO Mo::replicas annotation,
@@ -1498,8 +1493,7 @@ class Runner {
         rj.mo = retiree.mo;
         FallbackConfig fallback_config;
         fallback_config.rules = config_.synthesis.rules;
-        fallback_config.max_expansions =
-            config_.recovery.fallback_max_expansions;
+        fallback_config.max_expansions = kFallbackMaxExpansions;
         FallbackResult fallback =
             fallback_route(rj, health_, chip_bounds_, fallback_config);
         if (!fallback.feasible) {

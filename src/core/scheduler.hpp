@@ -26,8 +26,6 @@
 
 namespace meda::core {
 
-class SynthesisBackend;  // core/synthesis_backend.hpp
-
 /// Scheduler configuration.
 struct SchedulerConfig {
   SynthesisConfig synthesis{};
@@ -73,15 +71,6 @@ struct SchedulerConfig {
   /// disjointness tests and debugging, and campaigns must not pay the
   /// memory (replica route *records* without trails are always kept).
   bool record_replica_trails = false;
-  /// Optional external synthesis provider (e.g. the multi-tenant
-  /// svc::SynthesisService behind a svc::SynthesisClient). When set, plain
-  /// and detour solves that miss the library are submitted here instead of
-  /// running on the local Synthesizer; a *shed* submission (admission
-  /// control under overload, spent tenant budget) degrades to the bounded
-  /// fallback router through the recovery ladder, exactly like a
-  /// deadline-expired local synthesis. Replica solves and the non-adaptive
-  /// baseline always stay local. Not owned; must outlive the scheduler.
-  SynthesisBackend* backend = nullptr;
 };
 
 /// Activation/completion cycle of one MO within an execution (cycle counts
@@ -161,10 +150,6 @@ struct ExecutionStats {
   /// in place + warm-started solve) rather than a cold rebuild.
   int resyntheses_warm = 0;
   double synthesis_seconds = 0.0;     ///< wall time spent synthesizing
-  /// Solves the external synthesis backend refused (shed) and the scheduler
-  /// degraded to the fallback router. Always 0 without a backend; kept out
-  /// of RunRollup so campaign codecs are unchanged.
-  int service_sheds = 0;
   std::string failure_reason;         ///< empty on success
   std::vector<MoTiming> mo_timings;   ///< per-MO schedule (by MO id)
   std::vector<RouteRecord> routes;    ///< per-route model-vs-reality data

@@ -26,8 +26,8 @@
 ///  - **Admission control + overload shedding.** The queue is bounded and
 ///    each tenant has an in-flight cap; a submission that would exceed
 ///    either is rejected deterministically with a typed ShedReason instead
-///    of blocking the assay. Shed clients degrade to the local bounded-A*
-///    fallback router (see core/synthesis_backend.hpp).
+///    of blocking the assay. A shed caller degrades locally, e.g. to the
+///    bounded-A* fallback router (core/fallback_router.hpp).
 ///  - **Per-tenant deadline budgets.** Every tenant owns a
 ///    util::DeadlineLedger of solver-sweep checks per refill window; each
 ///    of its solves is armed from the ledger and settled with the checks it
