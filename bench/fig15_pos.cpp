@@ -20,9 +20,9 @@
 
 #include "assay/benchmarks.hpp"
 #include "sim/experiments.hpp"
-#include "util/checkpoint.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/record_log.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -144,7 +144,6 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::cout << '\n';
   }
-  checkpoint.flush();
   std::cout << "Expected: the adaptive row dominates the baseline row; the\n"
                "largest gaps appear for the longer bioassays (Serial\n"
                "Dilution, NuIP) at intermediate budgets.\n"

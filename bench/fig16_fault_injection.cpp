@@ -21,9 +21,9 @@
 
 #include "assay/benchmarks.hpp"
 #include "sim/experiments.hpp"
-#include "util/checkpoint.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/record_log.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -159,7 +159,6 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::cout << '\n';
   }
-  checkpoint.flush();
   std::cout << "Expected: adaptive rows complete the five executions in\n"
                "fewer cycles with smaller SD; baseline aborts dominate under\n"
                "clustered faults.\n";

@@ -13,7 +13,7 @@
 //     substrate and job-stream seeds, so identical jobs arrive together and
 //     one solve fans out to both waiters;
 //   - crash recovery: with --journal every completed solve is appended to
-//     an AppendJournal; a run killed mid-campaign (SIGKILL) and relaunched
+//     a util::RecordLog; a run killed mid-campaign (SIGKILL) and relaunched
 //     with --resume replays the journaled solves and produces a CSV that is
 //     byte-identical to a run that never crashed.
 //
@@ -42,10 +42,9 @@
 #include "core/fallback_router.hpp"
 #include "obs/obs.hpp"
 #include "svc/service.hpp"
-#include "util/checkpoint.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/journal.hpp"
+#include "util/record_log.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -148,7 +147,7 @@ struct BenchConfig {
   int tenants = 8;
   int rounds = 40;
   std::uint64_t seed0 = 7100;
-  util::AppendJournal* journal = nullptr;
+  util::RecordLog* journal = nullptr;
 };
 
 /// Runs one load point on a fresh service generation (the journal, if any,
@@ -296,7 +295,7 @@ int main(int argc, char** argv) {
   // One journal spans every service generation in the campaign, keyed on
   // the campaign shape (never on --jobs: a crashed --jobs 4 run may resume
   // under --jobs 1 and must still replay byte-identically).
-  util::AppendJournal journal;
+  util::RecordLog journal;
   const std::string journal_path =
       util::flag_value(argc, argv, "--journal", "");
   if (!journal_path.empty()) {

@@ -1,6 +1,7 @@
 #include "core/library.hpp"
 
 #include "obs/obs.hpp"
+#include "util/record_log.hpp"
 
 namespace meda::core {
 
@@ -29,16 +30,12 @@ LibraryClassStats& class_stats(LibraryStats& stats, DigestClass cls) {
 std::uint64_t health_digest(const IntMatrix& health, const Rect& area) {
   const Rect chip{0, 0, health.width() - 1, health.height() - 1};
   const Rect clipped = area.intersection_with(chip);
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;  // FNV prime
-  };
-  if (!clipped.valid()) return h;
+  util::DigestBuilder digest;
+  if (!clipped.valid()) return digest.value();
   for (int y = clipped.ya; y <= clipped.yb; ++y)
     for (int x = clipped.xa; x <= clipped.xb; ++x)
-      mix(static_cast<std::uint64_t>(health(x, y)) + 1);
-  return h;
+      digest.mix(static_cast<std::uint64_t>(health(x, y)) + 1);
+  return digest.value();
 }
 
 std::uint64_t detour_digest(const IntMatrix& masked_health, const Rect& area) {

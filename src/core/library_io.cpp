@@ -1,57 +1,13 @@
 #include "core/library_io.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
-#include <limits>
-#include <sstream>
-#include <vector>
 
+#include "core/codec.hpp"
 #include "obs/obs.hpp"
 
 namespace meda::core {
 
 namespace {
-
-/// Sanity cap on strategy rows per entry: a garbled row count must not make
-/// the loader chew through (and allocate for) gigabytes of garbage. Real
-/// strategies are a few hundred cells; 2^20 is orders of magnitude past any
-/// chip this code models.
-constexpr std::size_t kMaxStrategyRows = std::size_t{1} << 20;
-
-void write_rect(std::ostream& os, const Rect& r) {
-  os << r.xa << ' ' << r.ya << ' ' << r.xb << ' ' << r.yb;
-}
-
-Rect read_rect(std::istream& is) {
-  Rect r;
-  is >> r.xa >> r.ya >> r.xb >> r.yb;
-  return r;
-}
-
-void write_double(std::ostream& os, double v) {
-  if (std::isinf(v)) {
-    os << "inf";
-  } else {
-    os << v;
-  }
-}
-
-bool read_double_nothrow(std::istream& is, double& out) {
-  std::string token;
-  if (!(is >> token)) return false;
-  if (token == "inf") {
-    out = std::numeric_limits<double>::infinity();
-    return true;
-  }
-  try {
-    std::size_t consumed = 0;
-    out = std::stod(token, &consumed);
-    return consumed == token.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
 
 /// Parses one entry body (everything after the "entry" keyword) into
 /// temporaries. Returns false — storing nothing — on any truncation or
@@ -62,24 +18,13 @@ bool parse_entry(std::istream& is, assay::RoutingJob& rj,
   rj.goal = read_rect(is);
   rj.hazard = read_rect(is);
   int feasible = 0;
-  std::size_t rows = 0;
   is >> digest >> feasible;
   if (!is.good()) return false;
   result.feasible = feasible != 0;
-  if (!read_double_nothrow(is, result.expected_cycles)) return false;
-  if (!read_double_nothrow(is, result.reach_probability)) return false;
-  is >> rows;
-  if (!is.good() || rows > kMaxStrategyRows) return false;
-  for (std::size_t i = 0; i < rows; ++i) {
-    const Rect droplet = read_rect(is);
-    int action = -1;
-    is >> action;
-    if (is.fail() || action < 0 ||
-        action >= static_cast<int>(kAllActions.size()))
-      return false;
-    result.strategy.set(droplet, static_cast<Action>(action));
-  }
-  // Torn-tail rule (cf. SlotCheckpoint): save_library terminates every
+  if (!read_double(is, result.expected_cycles)) return false;
+  if (!read_double(is, result.reach_probability)) return false;
+  if (!read_strategy(is, result.strategy)) return false;
+  // Torn-tail rule (cf. util::RecordLog): save_library terminates every
   // entry with '\n', so an entry whose last token runs straight into EOF
   // may itself be a truncated longer token (action "19" torn to "1" still
   // parses). Reject the entry whole rather than store a distorted row.
@@ -91,28 +36,19 @@ bool parse_entry(std::istream& is, assay::RoutingJob& rj,
 
 void save_library(const StrategyLibrary& library, std::ostream& os) {
   os << "medalib 1\n";
-  os.precision(17);
   for (const StrategyLibrary::EntryView& entry : library.entries()) {
     const SynthesisResult& r = *entry.result;
-    // Deterministic strategy row order.
-    std::vector<std::pair<Rect, Action>> rows(r.strategy.begin(),
-                                              r.strategy.end());
-    std::sort(rows.begin(), rows.end());
     os << "entry ";
     write_rect(os, entry.start);
     os << ' ';
     write_rect(os, entry.goal);
     os << ' ';
     write_rect(os, entry.hazard);
-    os << ' ' << entry.digest << ' ' << (r.feasible ? 1 : 0) << ' ';
-    write_double(os, r.expected_cycles);
-    os << ' ';
-    write_double(os, r.reach_probability);
-    os << ' ' << rows.size() << '\n';
-    for (const auto& [droplet, action] : rows) {
-      write_rect(os, droplet);
-      os << ' ' << static_cast<int>(action) << '\n';
-    }
+    os << ' ' << entry.digest << ' ' << (r.feasible ? 1 : 0) << ' '
+       << hex_double(r.expected_cycles) << ' '
+       << hex_double(r.reach_probability) << ' ';
+    write_strategy(os, r.strategy, '\n');
+    os << '\n';
   }
 }
 

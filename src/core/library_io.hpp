@@ -17,7 +17,9 @@
 ///   medalib 1
 ///   entry <start> <goal> <hazard> <digest> <feasible> <E[cycles]> <pmax> <n>
 ///   <xa> <ya> <xb> <yb> <action-index>     (n strategy rows)
-/// Rectangles are four integers; infinities serialize as "inf".
+/// Rectangles are four integers; the two doubles are exact hexfloats ("inf"
+/// for infinity). The token codec is core/codec.hpp; files written with
+/// 17-digit decimal doubles by older builds load the same way.
 ///
 /// Corruption contract: a file whose *header* is wrong (bad magic, wrong
 /// version, unopenable path) throws LibraryLoadError — the file as a whole

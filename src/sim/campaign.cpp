@@ -1,17 +1,16 @@
 #include "sim/campaign.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 
+#include "core/codec.hpp"
 #include "core/library.hpp"
 #include "obs/obs.hpp"
 #include "sim/experiments.hpp"
 #include "util/check.hpp"
-#include "util/checkpoint.hpp"
 #include "util/csv.hpp"
+#include "util/record_log.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -21,15 +20,9 @@ namespace {
 
 // Checkpoint payload codec. A slot serializes exactly the ExecutionStats
 // subset the reductions consume (RunRollup::absorb inputs plus the chaos
-// channel tallies); synthesis_seconds round-trips exactly via the C99 %a
-// hexfloat form so a resumed campaign reproduces the straight-through CSV
-// byte for byte.
-
-std::string hex_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
+// channel tallies); synthesis_seconds round-trips exactly through the
+// shared hexfloat codec so a resumed campaign reproduces the
+// straight-through CSV byte for byte.
 
 void encode_stats(std::ostream& os, const core::ExecutionStats& s) {
   const core::RecoveryCounters& r = s.recovery;
@@ -37,7 +30,8 @@ void encode_stats(std::ostream& os, const core::ExecutionStats& s) {
   os << (s.success ? 1 : 0) << ' ' << s.cycles << ' ' << s.completed_mos
      << ' ' << s.aborted_mos << ' ' << s.synthesis_calls << ' '
      << s.library_hits << ' ' << s.resyntheses << ' ' << s.resyntheses_warm
-     << ' ' << hex_double(s.synthesis_seconds) << ' ' << r.watchdog_fires << ' '
+     << ' ' << core::hex_double(s.synthesis_seconds) << ' '
+     << r.watchdog_fires << ' '
      << r.forced_resenses << ' ' << r.synthesis_retries << ' '
      << r.backoff_cycles << ' ' << r.quarantined_cells << ' '
      << r.contention_detours << ' ' << r.aborted_jobs << ' '
@@ -62,9 +56,7 @@ bool decode_stats(std::istream& is, core::ExecutionStats& s) {
         n.retired >> n.best_effort_masks >> n.droplet_cycles))
     return false;
   s.success = success != 0;
-  char* end = nullptr;
-  s.synthesis_seconds = std::strtod(seconds.c_str(), &end);
-  return end != nullptr && *end == '\0';
+  return core::parse_double(seconds, s.synthesis_seconds);
 }
 
 std::string encode_run_records(const std::vector<RunRecord>& records) {
@@ -134,8 +126,7 @@ std::vector<CampaignCell> run_campaign(
     digest.mix(static_cast<std::uint64_t>(routers.size()));
     for (const RouterConfig& router : routers) digest.mix(router.name);
     checkpoint.open(config.checkpoint.path, digest.value(),
-                    config.checkpoint.resume, slots.size(),
-                    config.checkpoint.flush_every);
+                    config.checkpoint.resume, slots.size());
   }
   util::parallel_for(config.jobs, slots.size(), [&](std::size_t t) {
     if (const std::string* payload = checkpoint.restored(t))
@@ -157,7 +148,6 @@ std::vector<CampaignCell> run_campaign(
     if (checkpoint.active())
       checkpoint.record(t, encode_run_records(slots[t]));
   });
-  checkpoint.flush();
 
   for (std::size_t cell_idx = 0; cell_idx < cells.size(); ++cell_idx) {
     CampaignCell& cell = cells[cell_idx];
@@ -314,8 +304,7 @@ std::vector<ChaosCell> run_chaos_campaign(
       digest.mix(level.sensor.frame_drop_p);
     }
     checkpoint.open(config.checkpoint.path, digest.value(),
-                    config.checkpoint.resume, slots.size(),
-                    config.checkpoint.flush_every);
+                    config.checkpoint.resume, slots.size());
   }
   util::parallel_for(config.jobs, slots.size(), [&](std::size_t t) {
     if (const std::string* payload = checkpoint.restored(t))
@@ -358,7 +347,6 @@ std::vector<ChaosCell> run_chaos_campaign(
     slot.library = library.stats();
     if (checkpoint.active()) checkpoint.record(t, encode_chaos_slot(slot));
   });
-  checkpoint.flush();
 
   for (std::size_t cell_idx = 0; cell_idx < cells.size(); ++cell_idx) {
     ChaosCell& cell = cells[cell_idx];

@@ -27,18 +27,18 @@ struct RouterConfig {
 };
 
 /// Crash-safe checkpointing of the flattened (cell, chip) grid (see
-/// util/checkpoint.hpp): completed slots are persisted with atomic
-/// write-temp-then-rename, and a resumed run replays only the missing
-/// slots. Results are identical — byte-for-byte in any CSV written from
-/// the cells — whether the campaign ran straight through, was killed and
-/// resumed, or resumed at a different jobs count, because each slot's
-/// content depends only on its index. The file is keyed by a digest of the
-/// grid identity (seeds, counts, assay/router/level names plus a
-/// driver-supplied salt); a mismatch discards the stale file.
+/// util/record_log.hpp): each completed slot is appended to the log and
+/// flushed at once, so a kill loses only the slots in flight, and a resumed
+/// run recomputes only the missing slots. Results are identical —
+/// byte-for-byte in any CSV written from the cells — whether the campaign
+/// ran straight through, was killed and resumed, or resumed at a different
+/// jobs count, because each slot's content depends only on its index. The
+/// file is keyed by a digest of the grid identity (seeds, counts,
+/// assay/router/level names plus a driver-supplied salt); a mismatch
+/// discards the stale file.
 struct CampaignCheckpoint {
-  std::string path;     ///< empty = checkpointing disabled
-  bool resume = false;  ///< load compatible completed slots from the file
-  int flush_every = 4;  ///< atomic rewrite cadence (newly completed slots)
+  std::string path;        ///< empty = checkpointing disabled
+  bool resume = false;     ///< load compatible completed slots from the file
   std::uint64_t salt = 0;  ///< extra driver-config digest material
 };
 

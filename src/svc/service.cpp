@@ -1,39 +1,16 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <tuple>
 
+#include "core/codec.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 
 namespace meda::svc {
 
 namespace {
-
-/// Hexfloat codec (cf. sim/campaign.cpp): "%a" round-trips doubles exactly,
-/// which the crash-resume byte-identity guarantee depends on.
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-double parse_double(const std::string& token) {
-  return std::strtod(token.c_str(), nullptr);
-}
-
-void write_rect(std::ostream& os, const Rect& r) {
-  os << r.xa << ' ' << r.ya << ' ' << r.xb << ' ' << r.yb;
-}
-
-Rect read_rect(std::istream& is) {
-  Rect r;
-  is >> r.xa >> r.ya >> r.xb >> r.yb;
-  return r;
-}
 
 /// Serializes the journal record body for one completed solve. The key
 /// (rects + digest + armed budget) is prepended by the caller; the body
@@ -43,72 +20,48 @@ Rect read_rect(std::istream& is) {
 std::string encode_body(core::DigestClass cls, std::uint64_t used,
                         const core::SynthesisResult& result) {
   std::ostringstream os;
-  std::vector<std::pair<Rect, Action>> rows(result.strategy.begin(),
-                                                  result.strategy.end());
-  std::sort(rows.begin(), rows.end());
   os << static_cast<int>(cls) << ' ' << used << ' '
      << (result.feasible ? 1 : 0) << ' ' << (result.deadline_expired ? 1 : 0)
-     << ' ' << hex_double(result.expected_cycles) << ' '
-     << hex_double(result.reach_probability) << ' ' << result.stats.states
-     << ' ' << result.stats.transitions << ' ' << result.stats.choices << ' '
-     << rows.size();
-  for (const auto& [droplet, action] : rows) {
-    os << ' ';
-    write_rect(os, droplet);
-    os << ' ' << static_cast<int>(action);
-  }
+     << ' ' << core::hex_double(result.expected_cycles) << ' '
+     << core::hex_double(result.reach_probability) << ' '
+     << result.stats.states << ' ' << result.stats.transitions << ' '
+     << result.stats.choices << ' ';
+  core::write_strategy(os, result.strategy, ' ');
   return os.str();
 }
 
-/// Inverse of encode_body. Returns false on any malformed field (a record
-/// from a different build is skipped rather than trusted).
+/// Inverse of encode_body. Returns false on any malformed field (a garbled
+/// record, or one from a different build, is skipped rather than trusted).
 bool decode_body(const std::string& body, core::DigestClass& cls,
                  std::uint64_t& used, core::SynthesisResult& result) {
   std::istringstream is(body);
   int cls_raw = 0, feasible = 0, expired = 0;
-  std::string e_token, p_token;
-  std::size_t rows = 0;
-  is >> cls_raw >> used >> feasible >> expired >> e_token >> p_token >>
-      result.stats.states >> result.stats.transitions >>
-      result.stats.choices >> rows;
-  if (is.fail() || cls_raw < 0 || cls_raw > 2) return false;
+  is >> cls_raw >> used >> feasible >> expired;
+  if (is.fail() || cls_raw < 0 || cls_raw > 2 ||
+      !core::read_double(is, result.expected_cycles) ||
+      !core::read_double(is, result.reach_probability))
+    return false;
+  is >> result.stats.states >> result.stats.transitions >>
+      result.stats.choices;
+  if (is.fail()) return false;
   cls = static_cast<core::DigestClass>(cls_raw);
   result.feasible = feasible != 0;
   result.deadline_expired = expired != 0;
-  result.expected_cycles = parse_double(e_token);
-  result.reach_probability = parse_double(p_token);
-  for (std::size_t i = 0; i < rows; ++i) {
-    const Rect droplet = read_rect(is);
-    int action = -1;
-    is >> action;
-    if (is.fail() || action < 0 ||
-        action >= static_cast<int>(kAllActions.size()))
-      return false;
-    result.strategy.set(droplet, static_cast<Action>(action));
-  }
-  return true;
+  return core::read_strategy(is, result.strategy);
 }
 
-/// Splits a journal record into its key (the first 15 tokens: "solve",
-/// 3 rects, digest, armed) and body. Returns false for records that are
-/// not solve records.
+/// Splits a journal record "solve <key> <body>" into its key (the 14
+/// tokens after the tag: 3 rects, digest, armed budget) and its body.
+/// Returns false for records that are not solve records.
 bool split_record(const std::string& record, std::string& key,
                   std::string& body) {
-  std::istringstream is(record);
-  std::ostringstream key_os;
-  std::string token;
-  for (int i = 0; i < 15; ++i) {
-    if (!(is >> token)) return false;
-    if (i == 0) {
-      if (token != "solve") return false;
-      continue;  // the record tag is not part of the key
-    }
-    if (i > 1) key_os << ' ';
-    key_os << token;
-  }
-  key = key_os.str();
-  std::getline(is, body);
-  if (!body.empty() && body.front() == ' ') body.erase(0, 1);
+  if (record.rfind("solve ", 0) != 0) return false;
+  std::size_t end = 5;  // the space after the tag
+  for (int i = 0; i < 14 && end != std::string::npos; ++i)
+    end = record.find(' ', end + 1);
+  if (end == std::string::npos) return false;
+  key = record.substr(6, end - 6);
+  body = record.substr(end + 1);
   return !body.empty();
 }
 
@@ -226,11 +179,11 @@ std::string SynthesisService::journal_key(const PendingJob& job,
   // deadline-expired) result, and replay must never serve one for the
   // other.
   std::ostringstream os;
-  write_rect(os, job.rj.start);
+  core::write_rect(os, job.rj.start);
   os << ' ';
-  write_rect(os, job.rj.goal);
+  core::write_rect(os, job.rj.goal);
   os << ' ';
-  write_rect(os, job.rj.hazard);
+  core::write_rect(os, job.rj.hazard);
   os << ' ' << job.digest << ' ' << armed_sweeps;
   return os.str();
 }

@@ -11,7 +11,7 @@
 #include "core/library.hpp"
 #include "core/synthesizer.hpp"
 #include "util/deadline.hpp"
-#include "util/journal.hpp"
+#include "util/record_log.hpp"
 #include "util/matrix.hpp"
 #include "util/thread_pool.hpp"
 
@@ -41,7 +41,7 @@
 ///    result fans out to every waiter; only the earliest submitter (the
 ///    primary) pays ledger budget.
 ///  - **Crash recovery.** Completed solves are appended to a
-///    util::AppendJournal (atomic header, flushed line per solve, torn-tail
+///    util::RecordLog (atomic header, flushed line per solve, torn-tail
 ///    drop); after a kill -9, a resumed service replays journaled solves
 ///    through the normal dispatch path, so the run's observable outputs are
 ///    byte-identical to a run that never crashed.
@@ -96,9 +96,9 @@ struct ServiceConfig {
   std::uint64_t cost_state_divisor = 512;
   /// Max coalesced groups dispatched per wave (0 = `jobs`).
   std::size_t max_wave = 0;
-  /// Optional crash journal, externally owned (so one journal can span
-  /// several service generations in a bench). nullptr = no journal.
-  util::AppendJournal* journal = nullptr;
+  /// Optional crash journal, externally owned (so one log can span several
+  /// service generations in a bench). nullptr = no journal.
+  util::RecordLog* journal = nullptr;
 };
 
 /// Admission verdict for one submission.

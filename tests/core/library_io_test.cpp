@@ -93,6 +93,31 @@ TEST(LibraryIo, SerializesInfiniteExpectations) {
   EXPECT_TRUE(std::isinf(entry->expected_cycles));
 }
 
+TEST(LibraryIo, LoadsDecimalDoublesFromOlderFilesAndSavesThemExactly) {
+  // Older builds wrote the two doubles as 17-digit decimals; today's writer
+  // uses hexfloats. Both load, and a save/load round trip is bit-exact.
+  std::stringstream old_file(
+      "medalib 1\nentry 0 0 2 2 8 0 10 2 0 0 11 5 7 1 12.333333333333334 "
+      "0.90000000000000002 1\n0 0 2 2 4\n");
+  StrategyLibrary library;
+  const LibraryLoadStats stats = load_library(library, old_file);
+  EXPECT_EQ(stats.loaded, 1u);
+  EXPECT_EQ(stats.rejected, 0u);
+  ASSERT_EQ(library.size(), 1u);
+  const SynthesisResult& loaded = *library.entries()[0].result;
+  EXPECT_EQ(loaded.expected_cycles, 12.333333333333334);
+  EXPECT_EQ(loaded.reach_probability, 0.9);
+  std::stringstream buffer;
+  save_library(library, buffer);
+  StrategyLibrary reloaded;
+  load_library(reloaded, buffer);
+  ASSERT_EQ(reloaded.size(), 1u);
+  const SynthesisResult& again = *reloaded.entries()[0].result;
+  EXPECT_EQ(again.expected_cycles, loaded.expected_cycles);
+  EXPECT_EQ(again.reach_probability, loaded.reach_probability);
+  EXPECT_EQ(again.strategy.size(), 1u);
+}
+
 TEST(LibraryIo, RejectsMalformedHeaders) {
   // A wrong header means the file is not a library at all: typed throw
   // (LibraryLoadError is-a PreconditionError, so pre-existing catch sites

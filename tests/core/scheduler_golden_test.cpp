@@ -8,7 +8,7 @@
 #include "core/library.hpp"
 #include "core/scheduler.hpp"
 #include "sim/simulated_chip.hpp"
-#include "util/checkpoint.hpp"
+#include "util/record_log.hpp"
 #include "util/rng.hpp"
 
 /// @file scheduler_golden_test.cpp

@@ -301,7 +301,6 @@ TEST(ChaosCampaign, CheckpointedRunMatchesStraightThroughByteForByte) {
 
   ChaosCampaignConfig checkpointed = small_chaos();
   checkpointed.checkpoint.path = cp_path;
-  checkpointed.checkpoint.flush_every = 1;
   const std::string cp_csv = ::testing::TempDir() + "chaos_cp.csv";
   write_chaos_csv(
       cp_csv, run_chaos_campaign(assays, robust_router(), checkpointed));
@@ -366,7 +365,6 @@ TEST(Campaign, CheckpointResumeReplaysOnlyMissingSlots) {
   std::remove(cp_path.c_str());
   CampaignConfig checkpointed = small_campaign();
   checkpointed.checkpoint.path = cp_path;
-  checkpointed.checkpoint.flush_every = 1;
   const auto first =
       run_campaign(assays, two_routers(), checkpointed);
 

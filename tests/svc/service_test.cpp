@@ -4,12 +4,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
 #include "util/check.hpp"
-#include "util/journal.hpp"
+#include "util/record_log.hpp"
 
 namespace meda::svc {
 namespace {
@@ -240,7 +242,7 @@ struct Snapshot {
   std::vector<std::uint64_t> spent;
 };
 
-Snapshot run_scenario(int jobs, util::AppendJournal* journal = nullptr) {
+Snapshot run_scenario(int jobs, util::RecordLog* journal = nullptr) {
   ServiceConfig config = base_config();
   config.jobs = jobs;
   config.max_wave = 4;  // fixed wave width: byte-identity at any jobs count
@@ -319,7 +321,7 @@ TEST(SynthesisService, JournalReplayReproducesARunByteIdentically) {
           .string();
   std::remove(path.c_str());
 
-  util::AppendJournal straight;
+  util::RecordLog straight;
   straight.open(path, 0xfeedu, /*resume=*/false);
   ASSERT_TRUE(straight.enabled());
   const Snapshot first = run_scenario(2, &straight);
@@ -327,7 +329,7 @@ TEST(SynthesisService, JournalReplayReproducesARunByteIdentically) {
   // A fresh service generation resumes from the journal: every solve is
   // served by replay, and everything observable matches bit for bit —
   // including the tenants' ledger charges.
-  util::AppendJournal resumed;
+  util::RecordLog resumed;
   resumed.open(path, 0xfeedu, /*resume=*/true);
   EXPECT_GT(resumed.restored_count(), 0u);
   const Snapshot second = run_scenario(2, &resumed);
@@ -342,7 +344,7 @@ TEST(SynthesisService, ReplayIsKeyedOnTheArmedBudget) {
       (std::filesystem::temp_directory_path() / "svc_journal_key_test.log")
           .string();
   std::remove(path.c_str());
-  util::AppendJournal journal;
+  util::RecordLog journal;
   journal.open(path, 0x1u, /*resume=*/false);
 
   ServiceConfig config = base_config();
@@ -354,7 +356,7 @@ TEST(SynthesisService, ReplayIsKeyedOnTheArmedBudget) {
     service.submit(t, straight_east(0, 8), full_health(), 100, 5);
     service.drain();
   }
-  util::AppendJournal resumed;
+  util::RecordLog resumed;
   resumed.open(path, 0x1u, /*resume=*/true);
   config.journal = &resumed;
   config.synthesis.deadline_sweeps = 7;  // different per-solve arming
@@ -366,6 +368,69 @@ TEST(SynthesisService, ReplayIsKeyedOnTheArmedBudget) {
   const std::optional<JobOutcome> out = service.take(ticket.seq);
   ASSERT_TRUE(out.has_value());
   EXPECT_FALSE(out->replayed);
+  std::remove(path.c_str());
+}
+
+TEST(SynthesisService, GarbledJournalDoubleIsSolvedAfresh) {
+  // A journal record whose expected_cycles token is not a number must be
+  // skipped and re-solved, never replayed with a made-up value.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "svc_journal_garbled.log")
+          .string();
+  std::remove(path.c_str());
+  ServiceConfig config = base_config();
+  config.synthesis.deadline_sweeps = 1000;
+  const auto solve_once = [&config](util::RecordLog* journal) {
+    config.journal = journal;
+    SynthesisService service(config);
+    const int t = service.register_tenant("chip");
+    const SubmitTicket ticket =
+        service.submit(t, straight_east(0, 8), full_health(), 100, 5);
+    service.drain();
+    std::optional<JobOutcome> out = service.take(ticket.seq);
+    MEDA_REQUIRE(out.has_value(), "the job must complete");
+    return std::move(*out);
+  };
+  {
+    util::RecordLog journal;
+    journal.open(path, 0x1u, /*resume=*/false);
+    solve_once(&journal);
+  }
+
+  // Token 19 of a solve record is expected_cycles: "solve", three rects,
+  // digest and armed budget form the key; class, charge, feasible and
+  // expired come next.
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 2u);  // header + one solve
+  std::istringstream record(lines[1]);
+  std::vector<std::string> tokens;
+  for (std::string token; record >> token;) tokens.push_back(token);
+  ASSERT_GT(tokens.size(), 19u);
+  ASSERT_EQ(tokens[0], "solve");
+  tokens[19] = "zzz";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << lines[0] << '\n';
+    for (std::size_t i = 0; i < tokens.size(); ++i)
+      out << (i > 0 ? " " : "") << tokens[i];
+    out << '\n';
+  }
+
+  util::RecordLog resumed;
+  resumed.open(path, 0x1u, /*resume=*/true);
+  ASSERT_EQ(resumed.restored_count(), 1u);
+  const JobOutcome out = solve_once(&resumed);
+  const JobOutcome fresh = solve_once(nullptr);
+  EXPECT_FALSE(out.replayed);
+  EXPECT_EQ(out.result.feasible, fresh.result.feasible);
+  EXPECT_EQ(out.result.expected_cycles, fresh.result.expected_cycles);
+  EXPECT_EQ(out.result.reach_probability, fresh.result.reach_probability);
+  EXPECT_EQ(out.result.stats.states, fresh.result.stats.states);
+  EXPECT_EQ(out.result.strategy.size(), fresh.result.strategy.size());
   std::remove(path.c_str());
 }
 
