@@ -9,10 +9,10 @@
 
 /// @file codec.hpp
 /// The exact text codec for persisted strategy results, shared by the
-/// strategy-library file (core/library_io.hpp), the synthesis service's
-/// solve journal and the campaign checkpoint payloads. Tokens are
-/// whitespace-separated; every reader reports malformed input instead of
-/// guessing, so a garbled record is skipped rather than trusted.
+/// strategy-library file (core/library_io.hpp) and the campaign checkpoint
+/// payloads. Tokens are whitespace-separated; every reader reports
+/// malformed input instead of guessing, so a garbled record is skipped
+/// rather than trusted.
 
 namespace meda::core {
 

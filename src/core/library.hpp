@@ -114,18 +114,18 @@ struct LibraryStats {
 /// Cache of synthesized strategies keyed by (δ_s, δ_g, δ_h, health digest).
 ///
 /// Concurrency: every public method takes an internal mutex, so a library
-/// shared by the synthesis service's tenants is safe to hit from multiple
-/// threads. `lookup()` returns a pointer into the cache and is therefore
-/// only safe for a single-owner scheduler (a concurrent `store` can evict
-/// or overwrite the entry under the caller); shared users must take
-/// `lookup_copy()` instead. The mutex lives behind a shared_ptr so the
-/// library type stays copyable (copies share the mutex, which is harmless —
-/// their data is independent).
+/// shared between threads is safe to hit concurrently. `lookup()` returns a
+/// pointer into the cache and is therefore only safe for a single-owner
+/// scheduler (a concurrent `store` can evict or overwrite the entry under
+/// the caller); shared users must take `lookup_copy()` instead. The mutex
+/// lives behind a shared_ptr so the library type stays copyable (copies
+/// share the mutex, which is harmless — their data is independent).
 ///
-/// Multi-tenant attribution: lookup/store accept an optional tenant id
-/// (>= 0); operations are then double-counted into that tenant's own
-/// LibraryStats, so the service can report per-chip hit rates from one
-/// shared cache. Tenant -1 (the default) is unattributed.
+/// Per-chip attribution: lookup/store accept an optional tenant id (>= 0);
+/// operations are then double-counted into that tenant's own LibraryStats,
+/// so a caller sharing one cache between chips can report per-chip hit
+/// rates. Tenant -1 (the default, and every caller in src/) is
+/// unattributed.
 class StrategyLibrary {
  public:
   StrategyLibrary() : mutex_(std::make_shared<std::mutex>()) {}

@@ -1,26 +1,22 @@
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 
 /// @file deadline.hpp
-/// Cooperative deadline/cancellation token for long-running solver loops,
-/// plus the per-tenant budget ledger the synthesis service charges solves
-/// against.
+/// Cooperative deadline token for long-running solver loops.
 ///
 /// A Deadline is a cheap copyable handle over shared state; every copy
-/// observes the same expiry. Three triggers compose (any one expires the
+/// observes the same expiry. Two triggers compose (either one expires the
 /// token):
 ///
 ///  - a wall-clock budget (`after_seconds`) checked against steady_clock;
 ///  - a deterministic check-count budget (`after_checks`): the token expires
 ///    after it has been polled N times, independent of wall time — the knob
 ///    tests and reproducible campaigns use to force expiry at an exact
-///    sweep;
-///  - manual cancellation (`cancel()`).
+///    sweep.
 ///
 /// Callers poll `expired()` at coarse granularity (once per Gauss-Seidel
 /// sweep, not per state) so the poll cost is invisible next to the work it
@@ -37,7 +33,7 @@ namespace meda::util {
 
 class Deadline {
  public:
-  /// Inactive token: never expires (until `cancel()`).
+  /// Inactive token: never expires.
   Deadline() : state_(std::make_shared<State>()) {}
 
   /// Token that expires once @p seconds of wall time elapse. Non-positive
@@ -52,7 +48,7 @@ class Deadline {
   /// `after_checks(0)` is already expired.
   static Deadline after_checks(std::uint64_t checks);
 
-  /// True if any trigger (time, check budget, cancel) is armed.
+  /// True if any trigger (time or check budget) is armed.
   bool active() const {
     return state_->cancelled.load(std::memory_order_relaxed) ||
            state_->has_time_limit || state_->has_check_limit;
@@ -60,22 +56,6 @@ class Deadline {
 
   /// Polls the token. Once true, stays true.
   bool expired() const;
-
-  /// Manually expires the token (all copies observe it).
-  void cancel() { state_->cancelled.store(true, std::memory_order_relaxed); }
-
-  /// Polls consumed so far by every copy of this token (each `expired()`
-  /// call on a check-limited token counts one). The budget ledger settles
-  /// a solve's real cost from this.
-  std::uint64_t checks_used() const {
-    return state_->checks.load(std::memory_order_relaxed);
-  }
-
-  /// The armed check budget (0 when no check limit is armed).
-  std::uint64_t check_limit() const {
-    return state_->has_check_limit ? state_->check_limit : 0;
-  }
-  bool has_check_limit() const { return state_->has_check_limit; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -90,59 +70,6 @@ class Deadline {
   };
 
   std::shared_ptr<State> state_;
-};
-
-/// Deterministic per-tenant budget ledger over Deadline check budgets: the
-/// synthesis service gives every tenant one ledger per refill window, arms
-/// each of the tenant's solves with `acquire()` (a Deadline bounded by the
-/// smaller of the per-solve cap and whatever the tenant has left), and
-/// charges the polls the solve actually consumed back with `settle()`.
-/// Once a tenant's window is spent, its solves get already-expired tokens
-/// (they degrade to the client-side fallback router immediately) — one
-/// tenant's re-synthesis storm can exhaust only its own window, never a
-/// sibling's.
-///
-/// Not thread-safe: the service acquires and settles from its serial
-/// dispatch stages.
-class DeadlineLedger {
- public:
-  /// @p budget_checks per window; 0 = unlimited (acquire() arms only the
-  /// per-solve cap and settle() is a no-op).
-  explicit DeadlineLedger(std::uint64_t budget_checks = 0)
-      : budget_(budget_checks), remaining_(budget_checks) {}
-
-  bool unlimited() const { return budget_ == 0; }
-  std::uint64_t budget() const { return budget_; }
-  std::uint64_t remaining() const { return unlimited() ? ~0ull : remaining_; }
-  std::uint64_t spent() const { return spent_; }
-  bool exhausted() const { return !unlimited() && remaining_ == 0; }
-
-  /// Arms a solve's Deadline: check budget = min(@p cap, remaining), where
-  /// cap 0 means "no per-solve cap". An exhausted ledger returns an
-  /// already-expired token; an unlimited ledger with cap 0 returns an
-  /// inactive token (the callee's own config applies).
-  Deadline acquire(std::uint64_t cap = 0) const;
-
-  /// Charges the checks a Deadline from acquire() actually consumed,
-  /// clamped to its armed budget (expired tokens keep counting polls; the
-  /// tenant owes at most what was armed).
-  void settle(const Deadline& deadline);
-
-  /// Charges @p used checks directly — the journal-replay path, where the
-  /// original solve's settled cost is recorded and the ledger must evolve
-  /// exactly as it did in the straight run.
-  void charge(std::uint64_t used) {
-    spent_ += used;
-    if (!unlimited()) remaining_ -= std::min(used, remaining_);
-  }
-
-  /// Starts a fresh window: remaining back to the full budget.
-  void refill() { remaining_ = budget_; }
-
- private:
-  std::uint64_t budget_ = 0;
-  std::uint64_t remaining_ = 0;
-  std::uint64_t spent_ = 0;
 };
 
 }  // namespace meda::util

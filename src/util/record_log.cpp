@@ -26,7 +26,6 @@ void RecordLog::open(std::string path, std::uint64_t digest, bool resume) {
   if (out_.is_open()) out_.close();
   enabled_ = false;
   records_.clear();
-  restored_count_ = 0;
   if (path.empty()) return;
 
   char digest_hex[32];
@@ -44,7 +43,6 @@ void RecordLog::open(std::string path, std::uint64_t digest, bool resume) {
         if (!line.empty()) records_.push_back(line);
       }
     }
-    restored_count_ = records_.size();
   }
 
   // Write the header and the surviving prefix atomically (tmp + rename):
@@ -70,7 +68,6 @@ void RecordLog::append(const std::string& record) {
   std::lock_guard<std::mutex> lock(mutex_);
   out_ << record << '\n';
   out_.flush();
-  records_.push_back(record);
 }
 
 void SlotCheckpoint::open(std::string path, std::uint64_t digest, bool resume,

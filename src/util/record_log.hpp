@@ -10,8 +10,7 @@
 /// @file record_log.hpp
 /// The one crash-safe persistence primitive: an append-only log of
 /// single-line records behind a versioned digest header. Campaign drivers
-/// checkpoint completed grid slots through it (SlotCheckpoint below) and the
-/// synthesis service journals completed solves through it.
+/// checkpoint completed grid slots through it (SlotCheckpoint below).
 ///
 /// File format:
 ///
@@ -68,23 +67,17 @@ class RecordLog {
   bool enabled() const { return enabled_; }
 
   /// Appends one single-line record and flushes it to disk. Safe to call
-  /// from pool workers. Also visible through `records()`, so a later
-  /// consumer sharing this log replays earlier appends without re-reading
-  /// the file.
+  /// from pool workers. The record is not added to `records()`.
   void append(const std::string& record);
 
-  /// Every durable record: the replayed prefix followed by this process's
-  /// appends, in append order. Not to be read while appends are in flight.
+  /// The records replayed from disk by the last `open(..., resume=true)`,
+  /// in file order; empty after a fresh open.
   const std::vector<std::string>& records() const { return records_; }
-
-  /// How many records were replayed from disk by `open(..., resume=true)`.
-  std::size_t restored_count() const { return restored_count_; }
 
  private:
   std::ofstream out_;
   bool enabled_ = false;  ///< set by open() only, so workers may read it
   std::vector<std::string> records_;
-  std::size_t restored_count_ = 0;
   std::mutex mutex_;
 };
 

@@ -118,6 +118,24 @@ TEST(LibraryIo, LoadsDecimalDoublesFromOlderFilesAndSavesThemExactly) {
   EXPECT_EQ(again.strategy.size(), 1u);
 }
 
+TEST(LibraryIo, RejectsADoubleTokenItDoesNotConsumeWhole) {
+  // strtod alone reads "4zzz" as 4 and "zzz" as 0. A double is taken only
+  // when its whole token parses, so both garbled entries are rejected rather
+  // than stored with a made-up expectation; the valid entry after them loads.
+  std::stringstream in(
+      "medalib 1\n"
+      "entry 0 0 2 2 8 0 10 2 0 0 11 5 7 1 4zzz 1 1\n0 0 2 2 4\n"
+      "entry 0 0 2 2 8 0 10 2 0 0 11 5 8 1 zzz 1 1\n0 0 2 2 4\n"
+      "entry 0 0 2 2 8 0 10 2 0 0 11 5 9 1 4 1 1\n0 0 2 2 4\n");
+  StrategyLibrary library;
+  const LibraryLoadStats stats = load_library(library, in);
+  EXPECT_EQ(stats.loaded, 1u);
+  EXPECT_EQ(stats.rejected, 2u);
+  ASSERT_EQ(library.size(), 1u);
+  EXPECT_EQ(library.entries()[0].digest, 9u);
+  EXPECT_EQ(library.entries()[0].result->expected_cycles, 4.0);
+}
+
 TEST(LibraryIo, RejectsMalformedHeaders) {
   // A wrong header means the file is not a library at all: typed throw
   // (LibraryLoadError is-a PreconditionError, so pre-existing catch sites

@@ -44,22 +44,12 @@ TEST(Deadline, CopiesShareTheBudgetAndTheExpiry) {
   EXPECT_TRUE(b.expired());
 }
 
-TEST(Deadline, CancelExpiresEveryCopy) {
-  Deadline a;
-  Deadline b = a;
-  EXPECT_FALSE(b.expired());
-  a.cancel();
-  EXPECT_TRUE(a.active());
-  EXPECT_TRUE(a.expired());
-  EXPECT_TRUE(b.expired());
-}
-
 TEST(Deadline, NonPositiveTimeBudgetExpiresImmediately) {
   EXPECT_TRUE(Deadline::after_seconds(0.0).expired());
   EXPECT_TRUE(Deadline::after_seconds(-1.0).expired());
   // Born expired without a clock comparison: the very first poll is true
-  // and the token reads active (its ledger/solver callers treat it like
-  // any other expired budget).
+  // and the token reads active (its solver callers treat it like any
+  // other expired budget).
   Deadline d = Deadline::after_seconds(-1e300);
   EXPECT_TRUE(d.active());
   EXPECT_TRUE(d.expired());
@@ -91,76 +81,6 @@ TEST(Deadline, CheckBudgetBoundaryIsDeterministic) {
       EXPECT_FALSE(d.expired()) << "budget=" << budget << " poll=" << poll;
     EXPECT_TRUE(d.expired()) << "budget=" << budget;
   }
-}
-
-TEST(Deadline, ChecksUsedCountsEveryPollAcrossCopies) {
-  Deadline a = Deadline::after_checks(3);
-  Deadline b = a;
-  EXPECT_EQ(a.check_limit(), 3u);
-  EXPECT_TRUE(a.has_check_limit());
-  EXPECT_EQ(a.checks_used(), 0u);
-  (void)a.expired();
-  (void)b.expired();
-  EXPECT_EQ(a.checks_used(), 2u);
-  EXPECT_EQ(b.checks_used(), 2u);
-  // Polls past expiry keep counting (settle() clamps to the armed limit).
-  for (int i = 0; i < 5; ++i) (void)a.expired();
-  EXPECT_GE(a.checks_used(), 4u);
-}
-
-TEST(DeadlineLedger, AcquireArmsTheSmallerOfCapAndRemaining) {
-  DeadlineLedger ledger(10);
-  EXPECT_EQ(ledger.remaining(), 10u);
-  Deadline capped = ledger.acquire(4);
-  EXPECT_EQ(capped.check_limit(), 4u);
-  Deadline uncapped = ledger.acquire(0);
-  EXPECT_EQ(uncapped.check_limit(), 10u);
-  Deadline wide = ledger.acquire(100);
-  EXPECT_EQ(wide.check_limit(), 10u);
-}
-
-TEST(DeadlineLedger, SettleChargesConsumedPollsClampedToArmed) {
-  DeadlineLedger ledger(10);
-  Deadline d = ledger.acquire(4);
-  for (int i = 0; i < 3; ++i) EXPECT_FALSE(d.expired());
-  ledger.settle(d);
-  EXPECT_EQ(ledger.remaining(), 7u);
-  EXPECT_EQ(ledger.spent(), 3u);
-  // A solve that blows its budget keeps polling; the tenant owes at most
-  // the armed limit.
-  Deadline blown = ledger.acquire(4);
-  for (int i = 0; i < 20; ++i) (void)blown.expired();
-  ledger.settle(blown);
-  EXPECT_EQ(ledger.remaining(), 3u);
-  EXPECT_EQ(ledger.spent(), 7u);
-}
-
-TEST(DeadlineLedger, ExhaustedLedgerHandsOutExpiredTokensUntilRefill) {
-  DeadlineLedger ledger(2);
-  Deadline d = ledger.acquire(0);
-  (void)d.expired();
-  (void)d.expired();
-  ledger.settle(d);
-  EXPECT_TRUE(ledger.exhausted());
-  Deadline starved = ledger.acquire(100);
-  EXPECT_TRUE(starved.expired());  // after_checks(0): born exhausted
-  ledger.refill();
-  EXPECT_FALSE(ledger.exhausted());
-  EXPECT_EQ(ledger.remaining(), 2u);
-  EXPECT_EQ(ledger.spent(), 2u);  // spent survives refills (lifetime total)
-  EXPECT_FALSE(ledger.acquire(1).expired());
-}
-
-TEST(DeadlineLedger, UnlimitedLedgerArmsOnlyThePerSolveCap) {
-  DeadlineLedger ledger;  // budget 0 = unlimited
-  EXPECT_TRUE(ledger.unlimited());
-  EXPECT_FALSE(ledger.exhausted());
-  EXPECT_FALSE(ledger.acquire(0).active());  // inactive: callee's config
-  EXPECT_EQ(ledger.acquire(5).check_limit(), 5u);
-  Deadline d = ledger.acquire(5);
-  (void)d.expired();
-  ledger.settle(d);
-  EXPECT_FALSE(ledger.exhausted());
 }
 
 }  // namespace
